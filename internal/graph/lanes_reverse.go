@@ -4,157 +4,6 @@ import (
 	"infoflow/internal/bitset"
 )
 
-// This file is the reverse tier of the wide-lane reachability engine:
-// the same two-pass sweep as ReachLanesWideInto — an iterative Tarjan
-// condensation followed by a topological lane-mask push — but run over
-// the graph's IN-edges, so lane masks propagate from each root to every
-// node that can REACH it across active edges. One reverse sweep from a
-// batch of up to 64*W sampled roots therefore materialises that many
-// reverse-reachability (RR) sketch sets at once, which is exactly the
-// kernel the RIS-style influence-maximization estimator needs: node u
-// carries root lane L on return iff u ~> root_L in the sampled
-// pseudo-state, i.e. iff u belongs to root_L's RR set.
-//
-// The reverse sweep deliberately reuses the graph's existing in-edge
-// adjacency (g.in, maintained since construction) rather than
-// materialising a transposed CSR per call; the Tarjan pass reads
-// g.edges[id].From where the forward pass reads .To, and the SCC
-// structure it discovers is identical to the forward condensation of
-// the transposed graph (an SCC is direction-invariant; only the
-// emission order flips to "ancestors in reverse orientation first").
-
-// condenseReverseInto is condenseInto over in-edges: one iterative
-// Tarjan pass over the subgraph of active edges REVERSE-reachable from
-// roots, writing the SCC id of each reached node into comp (-1
-// elsewhere), the nodes grouped by SCC in emission order into nodes,
-// and the per-SCC offsets (plus an end sentinel) into starts. Tarjan
-// emits SCCs descendants-in-reverse-orientation first, so iterating
-// starts in reverse visits components ancestors (in the reverse
-// orientation) first — the push order pushLanesWideReverse needs.
-//
-//flowlint:hotpath
-func (g *DiGraph) condenseReverseInto(roots []NodeID, active bitset.Set, sc *Scratch, comp []int32, nodes []NodeID, starts []int32) ([]int32, []NodeID, []int32) {
-	n := g.NumNodes()
-	sc.beginCondense(n)
-	if len(comp) < n {
-		//flowlint:ignore hotpath -- grows once per scratch (or graph-size change), then reused for good
-		comp = make([]int32, n)
-	}
-	comp = comp[:n]
-	for i := range comp {
-		comp[i] = -1
-	}
-	idx, low := sc.dfsIdx, sc.dfsLow
-	onStack := sc.inq
-	tstack := sc.back[:0]  // Tarjan's SCC stack
-	dfsN := sc.queue[:0]   // DFS stack: frame f visits node dfsN[f]
-	dfsE := sc.dfsEdge[:0] // ... with in-edge cursor dfsE[f]
-	var next int32
-	for _, root := range roots {
-		if idx[root] != -1 {
-			continue
-		}
-		idx[root], low[root] = next, next
-		next++
-		onStack.Set(int(root))
-		tstack = append(tstack, root)
-		dfsN = append(dfsN, root)
-		dfsE = append(dfsE, 0)
-		for len(dfsN) > 0 {
-			f := len(dfsN) - 1
-			v := dfsN[f]
-			if ei := dfsE[f]; int(ei) < len(g.in[v]) {
-				dfsE[f]++
-				id := g.in[v][ei]
-				if !active.Test(int(id)) {
-					continue
-				}
-				w := g.edges[id].From
-				if idx[w] == -1 {
-					idx[w], low[w] = next, next
-					next++
-					onStack.Set(int(w))
-					tstack = append(tstack, w)
-					dfsN = append(dfsN, w)
-					dfsE = append(dfsE, 0)
-				} else if onStack.Test(int(w)) && low[v] > idx[w] {
-					low[v] = idx[w]
-				}
-				continue
-			}
-			dfsN = dfsN[:f]
-			dfsE = dfsE[:f]
-			if f > 0 {
-				if p := dfsN[f-1]; low[p] > low[v] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == idx[v] {
-				c := int32(len(starts))
-				starts = append(starts, int32(len(nodes)))
-				for {
-					w := tstack[len(tstack)-1]
-					tstack = tstack[:len(tstack)-1]
-					onStack.Clear(int(w))
-					comp[w] = c
-					nodes = append(nodes, w)
-					if w == v {
-						break
-					}
-				}
-			}
-		}
-	}
-	starts = append(starts, int32(len(nodes)))
-	sc.back = tstack[:0]
-	sc.queue = dfsN[:0]
-	sc.dfsEdge = dfsE[:0]
-	return comp, nodes, starts
-}
-
-// pushLanesWideReverse propagates W-word lane masks over a reverse
-// condensation: compWide (one W-word row per SCC, zeroed by the caller)
-// is seeded from roots/rootBits, then components are visited in reverse
-// emission order, each reached node's reach row overwritten with its
-// component's mask and every active IN-edge ORing the mask into the
-// source node's component. Each active edge within the condensed region
-// is touched exactly once.
-//
-//flowlint:hotpath
-func (g *DiGraph) pushLanesWideReverse(roots []NodeID, rootBits *bitset.LaneMatrix, active bitset.Set, comp []int32, nodes []NodeID, starts []int32, compWide []uint64, reach *bitset.LaneMatrix) {
-	W := rootBits.W
-	for k, v := range roots {
-		src := rootBits.Row(k)
-		dst := compWide[int(comp[v])*W:]
-		for j, w := range src {
-			dst[j] |= w
-		}
-	}
-	for c := len(starts) - 2; c >= 0; c-- {
-		row := compWide[c*W : c*W+W : c*W+W]
-		var lanes uint64
-		for _, w := range row {
-			lanes |= w
-		}
-		if lanes == 0 {
-			continue
-		}
-		for i := starts[c]; i < starts[c+1]; i++ {
-			v := nodes[i]
-			copy(reach.Row(int(v)), row)
-			for _, id := range g.in[v] {
-				if !active.Test(int(id)) {
-					continue
-				}
-				dst := compWide[int(comp[g.edges[id].From])*W:]
-				for j, w := range row {
-					dst[j] |= w
-				}
-			}
-		}
-	}
-}
-
 // ReachLanesWideReverseInto is the reverse-orientation counterpart of
 // ReachLanesWideInto: root roots[k] is OR-seeded with the W-word lane
 // row rootBits.Row(k), and on return reach.Row(u) has lane bit L set
@@ -164,29 +13,18 @@ func (g *DiGraph) pushLanesWideReverse(roots []NodeID, rootBits *bitset.LaneMatr
 // carrying L, which is bit-for-bit what the forward sweep computes on
 // the transposed graph (same node IDs, each edge u->v re-added as
 // v->u under the same EdgeID). One sweep answers up to 64*rootBits.W
-// RR-set queries; lane assignment is the caller's, and shared or merged
-// lanes are legal exactly as in the forward sweep. reach is resized to
-// (NumNodes, rootBits.W) and overwritten. If sc is nil a temporary
-// Scratch is allocated.
+// RR-set queries — the kernel the RIS-style influence-maximization
+// estimator needs; lane assignment is the caller's, and shared or
+// merged lanes are legal exactly as in the forward sweep. reach is
+// resized to (NumNodes, rootBits.W) and overwritten. If sc is nil a
+// temporary Scratch is allocated.
+//
+// The sweep walks the graph's in-edge adjacency (g.in, maintained since
+// construction) rather than materialising a transposed CSR per call. An
+// SCC is direction-invariant, so the condensation it discovers is the
+// forward condensation of the transposed graph.
 //
 //flowlint:hotpath
 func (g *DiGraph) ReachLanesWideReverseInto(roots []NodeID, rootBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
-	n := g.NumNodes()
-	if sc == nil {
-		sc = tempScratch(n)
-	}
-	W := rootBits.W
-	if reach.Rows != n || reach.W != W {
-		//flowlint:ignore hotpath -- documented cold fallback on first use or shape change; steady-state callers keep the shape
-		reach.Resize(n, W)
-	} else {
-		reach.Reset()
-	}
-	comp, nodes, starts := g.condenseReverseInto(roots, active, sc, sc.comp, sc.sccNodes[:0], sc.sccStart[:0])
-	sc.comp = comp
-	compWide := growCompWide(sc.compWide, (len(starts)-1)*W)
-	g.pushLanesWideReverse(roots, rootBits, active, comp, nodes, starts, compWide, reach)
-	sc.sccNodes = nodes[:0]
-	sc.sccStart = starts[:0]
-	sc.compWide = compWide[:0]
+	g.reachLanesWide(g.in, roots, rootBits, active, sc, reach)
 }

@@ -4,49 +4,41 @@ import (
 	"infoflow/internal/bitset"
 )
 
-// This file is the wide tier of the bit-parallel reachability engine:
-// where lanes.go carries one uint64 of lanes per node (64 queries per
-// sweep), here every node carries a W-word row of a bitset.LaneMatrix,
-// so one sweep over one sampled pseudo-state answers up to 64*W
-// single-source reachability queries. The sweep itself is the same
-// two-pass structure as ReachLanesInto — an iterative Tarjan
-// condensation of the active subgraph followed by a topological
-// lane-mask push — but each touched edge ORs W words instead of one.
-//
-// On top of the one-shot sweep, LaneEngine amortises the condensation
-// across consecutive sweeps of a slowly changing mask: between thinned
-// Metropolis-Hastings samples only a handful of accepted flips alter
-// the active set, and most of those provably cannot change the
-// condensation's structure, so the engine replays the cached component
-// order and pays only the push pass.
+// This file is the bit-parallel reachability kernel: every node carries
+// a W-word row of a bitset.LaneMatrix, so one sweep over one sampled
+// pseudo-state answers up to 64*W single-source reachability queries.
+// The sweep has two passes — an iterative Tarjan condensation of the
+// active subgraph reachable from the seeds, then a topological lane-mask
+// push over the condensation — and each touched edge ORs W words. Both
+// passes take the adjacency to walk (g.out forward, g.in reverse; see
+// lanes_reverse.go), so one kernel serves both orientations.
+
+// farEnd returns the endpoint of edge e opposite v. v is one endpoint
+// and the graph has no self-loops, so From^To^v is To when walking an
+// out-edge of v and From when walking an in-edge: the kernel needs no
+// direction flag beyond the adjacency it is handed.
+func farEnd(e Edge, v NodeID) NodeID { return e.From ^ e.To ^ v }
 
 // condenseInto runs one iterative Tarjan pass over the subgraph of
-// active edges reachable from seeds, writing the SCC id of each reached
-// node into comp (-1 elsewhere), the nodes grouped by SCC in emission
-// order into nodes, and the per-SCC offsets (plus an end sentinel) into
-// starts. Tarjan emits SCCs descendants first, so iterating the starts
-// in reverse visits components in topological order, ancestors before
-// descendants. comp is grown and refilled with -1 here; nodes and
-// starts are appended to from length zero. All three are returned (the
-// caller's buffers, or their replacements).
+// active edges reachable from seeds along adj (g.out, or g.in for the
+// reverse orientation), writing the SCC id of each reached node into
+// sc.comp (-1 elsewhere), the nodes grouped by SCC in emission order
+// into sc.sccNodes, and the per-SCC offsets (plus an end sentinel) into
+// sc.sccStart. Tarjan emits SCCs descendants first, so iterating the
+// starts in reverse visits components in topological order, ancestors
+// before descendants.
 //
 //flowlint:hotpath
-func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, comp []int32, nodes []NodeID, starts []int32) ([]int32, []NodeID, []int32) {
+func (g *DiGraph) condenseInto(adj [][]EdgeID, seeds []NodeID, active bitset.Set, sc *Scratch) {
 	n := g.NumNodes()
 	sc.beginCondense(n)
-	if len(comp) < n {
-		//flowlint:ignore hotpath -- grows once per engine (or graph-size change), then reused for good
-		comp = make([]int32, n)
-	}
-	comp = comp[:n]
-	for i := range comp {
-		comp[i] = -1
-	}
-	idx, low := sc.dfsIdx, sc.dfsLow
+	idx, low, comp := sc.dfsIdx, sc.dfsLow, sc.comp
 	onStack := sc.inq
 	tstack := sc.back[:0]  // Tarjan's SCC stack
 	dfsN := sc.queue[:0]   // DFS stack: frame f visits node dfsN[f]
-	dfsE := sc.dfsEdge[:0] // ... with out-edge cursor dfsE[f]
+	dfsE := sc.dfsEdge[:0] // ... with adjacency cursor dfsE[f]
+	nodes := sc.sccNodes[:0]
+	starts := sc.sccStart[:0]
 	var next int32
 	for _, root := range seeds {
 		if idx[root] != -1 {
@@ -61,13 +53,13 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 		for len(dfsN) > 0 {
 			f := len(dfsN) - 1
 			v := dfsN[f]
-			if ei := dfsE[f]; int(ei) < len(g.out[v]) {
+			if ei := dfsE[f]; int(ei) < len(adj[v]) {
 				dfsE[f]++
-				id := g.out[v][ei]
+				id := adj[v][ei]
 				if !active.Test(int(id)) {
 					continue
 				}
-				w := g.edges[id].To
+				w := farEnd(g.edges[id], v)
 				if idx[w] == -1 {
 					idx[w], low[w] = next, next
 					next++
@@ -107,26 +99,25 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 	sc.back = tstack[:0]
 	sc.queue = dfsN[:0]
 	sc.dfsEdge = dfsE[:0]
-	return comp, nodes, starts
+	sc.sccNodes = nodes
+	sc.sccStart = starts
 }
 
-// pushLanesWide propagates W-word lane masks over a condensation in
-// topological order: compWide (one W-word row per SCC, zeroed by the
-// caller) is seeded from seeds/seedBits, then components are visited
-// ancestors first, each reached node's reach row overwritten with its
-// component's mask and every active out-edge ORing the mask into the
-// target component. Each active edge within the condensed region is
-// touched exactly once here.
-//
-// Rows of components no lane reaches are left alone when zeroStale is
-// false (a freshly cleared reach matrix) and explicitly re-zeroed when
-// it is true (a replayed matrix whose region rows may hold the previous
-// sweep's masks). Rows outside the region are never written: the caller
-// guarantees they are already zero.
+// pushLanesWide propagates W-word lane masks over the condensation
+// condenseInto left in sc, along the same adjacency: sc.compWide (one
+// W-word row per SCC) is zeroed and seeded from seeds/seedBits, then
+// components are visited ancestors first, each reached node's reach row
+// overwritten with its component's mask and every active adjacent edge
+// ORing the mask into the far endpoint's component. Each active edge
+// within the condensed region is touched exactly once here. Rows of
+// nodes no lane reaches are never written: the caller hands in a zeroed
+// reach matrix.
 //
 //flowlint:hotpath
-func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, comp []int32, nodes []NodeID, starts []int32, compWide []uint64, reach *bitset.LaneMatrix, zeroStale bool) {
+func (g *DiGraph) pushLanesWide(adj [][]EdgeID, seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
 	W := seedBits.W
+	comp, nodes, starts := sc.comp, sc.sccNodes, sc.sccStart
+	compWide := growCompWide(sc.compWide, (len(starts)-1)*W)
 	for k, v := range seeds {
 		src := seedBits.Row(k)
 		dst := compWide[int(comp[v])*W:]
@@ -141,27 +132,23 @@ func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, act
 			lanes |= w
 		}
 		if lanes == 0 {
-			if zeroStale {
-				for i := starts[c]; i < starts[c+1]; i++ {
-					reach.ResetRow(int(nodes[i]))
-				}
-			}
 			continue
 		}
 		for i := starts[c]; i < starts[c+1]; i++ {
 			v := nodes[i]
 			copy(reach.Row(int(v)), row)
-			for _, id := range g.out[v] {
+			for _, id := range adj[v] {
 				if !active.Test(int(id)) {
 					continue
 				}
-				dst := compWide[int(comp[g.edges[id].To])*W:]
+				dst := compWide[int(comp[farEnd(g.edges[id], v)])*W:]
 				for j, w := range row {
 					dst[j] |= w
 				}
 			}
 		}
 	}
+	sc.compWide = compWide[:0]
 }
 
 // growCompWide returns buf resliced (and zeroed) to hold words uint64s,
@@ -170,9 +157,9 @@ func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, act
 //flowlint:hotpath
 func growCompWide(buf []uint64, words int) []uint64 {
 	if cap(buf) < words {
-		// Geometric headroom: the component count creeps upward between
-		// flush rebuilds, and an exact-fit allocation here would turn
-		// every new high-water mark into a fresh allocation.
+		// Geometric headroom: the component count varies from sweep to
+		// sweep, and an exact-fit allocation here would turn every new
+		// high-water mark into a fresh allocation.
 		c := 2 * cap(buf)
 		if c < words {
 			c = words
@@ -187,59 +174,46 @@ func growCompWide(buf []uint64, words int) []uint64 {
 	return buf
 }
 
-// growPrevWide returns buf grown to hold at least words uint64s,
-// preserving existing contents — validity of each component's stored
-// mask is tracked separately (LaneEngine.prevAt), so stale words are
-// harmless.
+// reachLanesWide is the shared body of the forward and reverse sweeps:
+// shape and clear reach, condense along adj, push along adj.
 //
 //flowlint:hotpath
-func growPrevWide(buf []uint64, words int) []uint64 {
-	if len(buf) >= words {
-		return buf
-	}
-	if cap(buf) >= words {
-		// The region past the old length is still zero from the original
-		// allocation; validity is tracked per component regardless.
-		return buf[:cap(buf)]
-	}
-	c := 2 * cap(buf)
-	if c < words {
-		c = words
-	}
-	//flowlint:ignore hotpath -- grows to the SCC-count high-water mark, then reused for good
-	nb := make([]uint64, c)
-	copy(nb, buf)
-	return nb
-}
-
-// ReachLanesWideInto is the W-word generalisation of ReachLanesInto:
-// seed node seeds[k] is OR-seeded with the W-word lane row seedBits.Row(k),
-// and on return reach.Row(v) has lane bit L set iff v is reachable
-// (across edges whose bit in active is set) from some node seeded with
-// L — every seed counting as reaching itself. One sweep answers up to
-// 64*seedBits.W single-source reachability queries; lane assignment is
-// the caller's, and shared or merged lanes are legal exactly as in the
-// one-word sweep. reach is resized to (NumNodes, seedBits.W) and
-// overwritten. If sc is nil a temporary Scratch is allocated.
-//
-//flowlint:hotpath
-func (g *DiGraph) ReachLanesWideInto(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
+func (g *DiGraph) reachLanesWide(adj [][]EdgeID, seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
 	n := g.NumNodes()
 	if sc == nil {
 		sc = tempScratch(n)
 	}
-	W := seedBits.W
-	if reach.Rows != n || reach.W != W {
+	if reach.Rows != n || reach.W != seedBits.W {
 		//flowlint:ignore hotpath -- documented cold fallback on first use or shape change; steady-state callers keep the shape
-		reach.Resize(n, W)
+		reach.Resize(n, seedBits.W)
 	} else {
 		reach.Reset()
 	}
-	comp, nodes, starts := g.condenseInto(seeds, active, sc, sc.comp, sc.sccNodes[:0], sc.sccStart[:0])
-	sc.comp = comp
-	compWide := growCompWide(sc.compWide, (len(starts)-1)*W)
-	g.pushLanesWide(seeds, seedBits, active, comp, nodes, starts, compWide, reach, false)
-	sc.sccNodes = nodes[:0]
-	sc.sccStart = starts[:0]
-	sc.compWide = compWide[:0]
+	g.condenseInto(adj, seeds, active, sc)
+	g.pushLanesWide(adj, seeds, seedBits, active, sc, reach)
+}
+
+// ReachLanesWideInto runs the bit-parallel reachability sweep: seed
+// node seeds[k] is OR-seeded with the W-word lane row seedBits.Row(k),
+// and on return reach.Row(v) has lane bit L set iff v is reachable
+// (across edges whose bit in active is set) from some node seeded with
+// L — every seed counting as reaching itself, matching Reachable's
+// contract. One sweep answers up to 64*seedBits.W single-source
+// reachability queries; lane assignment is the caller's, and seeding
+// several nodes with the same lane or one node with several lanes are
+// both legal. reach is resized to (NumNodes, seedBits.W) and
+// overwritten. If sc is nil a temporary Scratch is allocated.
+//
+// The condensation is what makes the sweep linear: every node of an SCC
+// has the same reach row by definition, so pushing masks over the
+// condensation in topological order finalises each SCC's mask before it
+// propagates and touches each active edge exactly twice in total. A
+// naive monotone worklist instead re-processes a node every time lanes
+// merging inside a large component reach it on different frontiers;
+// near the percolation threshold the samplers operate at, that costs
+// ~8x more pops on the §IV-C reference graph.
+//
+//flowlint:hotpath
+func (g *DiGraph) ReachLanesWideInto(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
+	g.reachLanesWide(g.out, seeds, seedBits, active, sc, reach)
 }

@@ -94,9 +94,9 @@ func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestTrackedSamplingZeroAlloc extends the steady-state gate to the
-// batched estimators' chain loop: stepping with flip tracking enabled
-// (the wide-lane engines consume the log via TakeFlips each thinned
-// sample) must allocate nothing once the log has grown to its bound.
+// batched estimators' chain loop as Run drives it: thinned chain steps,
+// then one wide-lane sweep per chunk of a two-chunk lane set, must
+// allocate nothing once the scratch and reach matrices are warm.
 func TestTrackedSamplingZeroAlloc(t *testing.T) {
 	r := rng.New(78)
 	g := graph.Random(r, 300, 900)
@@ -109,18 +109,22 @@ func TestTrackedSamplingZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
-	for k := 0; k < 200; k++ { // warm scratch, queues, and the flip log
-		s.Step()
-	}
-	s.TakeFlips()
-	if allocs := testing.AllocsPerRun(100, func() {
-		for k := 0; k < 10; k++ {
-			s.Step()
+	nChunks := s.prepareLanes(100, 1, func(q int) graph.NodeID { return graph.NodeID(q) })
+	visit := func(core.PseudoState) {
+		for c := 0; c < nChunks; c++ {
+			s.sweep(c)
 		}
-		s.TakeFlips()
+	}
+	opts := Options{BurnIn: 200, Thin: 10, Samples: 5}
+	if err := s.Run(opts, visit); err != nil { // warm scratch and reach matrices
+		t.Fatal(err)
+	}
+	opts.BurnIn = 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Run(opts, visit); err != nil {
+			t.Fatal(err)
+		}
 	}); allocs != 0 {
-		t.Errorf("steady-state tracked sampling allocates %v per run, want 0", allocs)
+		t.Errorf("steady-state batched chain loop allocates %v per run, want 0", allocs)
 	}
 }

@@ -45,19 +45,15 @@ func laneWords(words, k int) (int, error) {
 }
 
 // batchScratch is the sampler-held buffer set of the batched
-// estimators: per-chunk seed tables, seed-bit matrices, reach matrices
-// and wide-lane engines, plus the shared hit counters. Everything is
-// retained across batches on one sampler, so a repeated batch reuses
-// not just the memory but the engines' cached condensations (each
-// engine validates its cache against the seed set and the mask
-// signature, so stale reuse is impossible). Reach matrices are
-// per-chunk because an engine's replay path relies on rows outside its
-// own condensed region staying zero between its sweeps.
+// estimators: per-chunk seed tables, seed-bit matrices and reach
+// matrices, plus the shared hit counters. Everything is retained across
+// batches on one sampler, so a repeated batch allocates nothing for its
+// lanes. Reach matrices are per-chunk because the impact estimator
+// reads every chunk's lanes of one sample together.
 type batchScratch struct {
 	seeds    [][]graph.NodeID
 	seedBits []*bitset.LaneMatrix
 	reach    []*bitset.LaneMatrix
-	engines  []*graph.LaneEngine
 	hits     []int
 }
 
@@ -68,12 +64,7 @@ func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int 
 	bs := &s.batch
 	lanesPer := words * LaneWidth
 	nChunks := (k + lanesPer - 1) / lanesPer
-	for len(bs.engines) < nChunks {
-		e := graph.NewLaneEngine(s.m.G)
-		if s.laneRepairSet {
-			e.SetRepairLimit(s.laneRepairLimit)
-		}
-		bs.engines = append(bs.engines, e)
+	for len(bs.reach) < nChunks {
 		bs.seedBits = append(bs.seedBits, &bitset.LaneMatrix{})
 		bs.reach = append(bs.reach, &bitset.LaneMatrix{})
 		bs.seeds = append(bs.seeds, nil)
@@ -100,6 +91,18 @@ func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int 
 	return nChunks
 }
 
+// sweep runs chunk c's wide-lane reachability sweep over the current
+// pseudo-state into the chunk's reach matrix and returns that matrix.
+//
+//flowlint:hotpath
+func (s *Sampler) sweep(c int) *bitset.LaneMatrix {
+	bs := &s.batch
+	reach := bs.reach[c]
+	s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, reach)
+	s.sweeps++
+	return reach
+}
+
 // FlowProbBatch estimates Pr[source_k ~> sink_k | conds] for every pair
 // from ONE Metropolis-Hastings chain: all queries share the chain's
 // burn-in and thinning steps, and each thinned sample is interrogated
@@ -107,9 +110,7 @@ func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int 
 // instead of one scalar search per pair. For the multi-query workloads
 // the paper's experiments run — hundreds of (source, sink) pairs
 // against the same model — this amortises the dominant cost (chain
-// updates) across the whole batch; consecutive sweeps additionally
-// reuse the SCC condensation whenever the accepted flips between them
-// provably left it unchanged.
+// updates) across the whole batch.
 //
 // The chain consumes exactly the same randomness as FlowProb regardless
 // of the pair count, and the lane sweep is an exact reachability
@@ -158,13 +159,9 @@ func FlowProbBatchWideOn(s *Sampler, pairs []FlowPair, opts Options, words int) 
 	lanesPer := words * LaneWidth
 	nChunks := s.prepareLanes(k, words, func(q int) graph.NodeID { return pairs[q].Source })
 	bs := &s.batch
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	err = s.Run(opts, func(core.PseudoState) {
-		flips, complete := s.TakeFlips()
 		for c := 0; c < nChunks; c++ {
-			reach := bs.reach[c]
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, reach)
+			reach := s.sweep(c)
 			lo := c * lanesPer
 			hi := min(lo+lanesPer, k)
 			for q := lo; q < hi; q++ {
@@ -240,12 +237,9 @@ func ImpactDistributionBatchOn(s *Sampler, sets [][]graph.NodeID, opts Options) 
 	for i := range impacts {
 		impacts[i] = make([]int, 0, opts.Samples)
 	}
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	err = s.Run(opts, func(core.PseudoState) {
-		flips, complete := s.TakeFlips()
 		for c := 0; c < nChunks; c++ {
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, bs.reach[c])
+			s.sweep(c)
 		}
 		for i, sp := range spans {
 			count := 0
@@ -315,18 +309,13 @@ func CommunityFlowProbsBatchWideOn(s *Sampler, sources []graph.NodeID, opts Opti
 	n := s.m.NumNodes()
 	lanesPer := words * LaneWidth
 	nChunks := s.prepareLanes(len(sources), words, func(q int) graph.NodeID { return sources[q] })
-	bs := &s.batch
 	counts := make([][]int, len(sources))
 	for k := range counts {
 		counts[k] = make([]int, n)
 	}
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	err = s.Run(opts, func(core.PseudoState) {
-		flips, complete := s.TakeFlips()
 		for c := 0; c < nChunks; c++ {
-			reach := bs.reach[c]
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, reach)
+			reach := s.sweep(c)
 			lo := c * lanesPer
 			for v := 0; v < n; v++ {
 				row := reach.Row(v)

@@ -246,9 +246,9 @@ func TestFlowProbBatchRejectsEmpty(t *testing.T) {
 }
 
 // TestFlowProbBatchZeroAllocSteadyState asserts the batched hot loop —
-// chain updates with flip tracking plus one wide-lane engine sweep per
-// chunk of pairs — allocates nothing once warm. 130 pairs at W=1 forces
-// three chunks, so the multi-engine path is covered too.
+// chain updates plus one wide-lane sweep per chunk of pairs — allocates
+// nothing once warm. 130 pairs at W=1 forces three chunks, so the
+// multi-chunk path is covered too.
 func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	m := batchTestModel(16, 300, 900)
 	s, err := NewSampler(m, nil, rng.New(9))
@@ -258,16 +258,12 @@ func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	pairs := randomPairs(rng.New(10), m.NumNodes(), 130)
 	nChunks := s.prepareLanes(len(pairs), 1, func(q int) graph.NodeID { return pairs[q].Source })
 	bs := &s.batch
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	sample := func() {
 		for k := 0; k < 10; k++ {
 			s.Step()
 		}
-		flips, complete := s.TakeFlips()
 		for c := 0; c < nChunks; c++ {
-			reach := bs.reach[c]
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, reach)
+			reach := s.sweep(c)
 			lo := c * LaneWidth
 			for q := lo; q < lo+len(bs.seeds[c]); q++ {
 				if reach.TestBit(int(pairs[q].Sink), q-lo) {
@@ -289,126 +285,64 @@ func benchPairs64(m *core.ICM) []FlowPair {
 	return randomPairs(rng.New(17), m.NumNodes(), 64)
 }
 
-// BenchmarkFlowProbBatch64 measures one steady-state batched output
-// sample on the §IV-C 6K-node/14K-edge graph: thin chain updates plus
-// ONE 64-lane sweep answering all 64 pairs. Compare per-op time against
-// BenchmarkFlowProbSequential64 (the same work done by 64 independent
-// chains) for the batching speedup; allocs/op must read 0.
-func BenchmarkFlowProbBatch64(b *testing.B) {
+// benchFlowBatch measures one steady-state batched output sample on the
+// §IV-C 6K-node/14K-edge graph: thin chain updates plus one wide-lane
+// sweep per chunk answering k pairs at the given word width. One op is
+// one thinned sample, so ns/op is the per-sample cost; divide by k for
+// the per-query figure. thin <= 0 selects DefaultOptions' Thin (the
+// edge count), the serving operating point. allocs/op must read 0.
+func benchFlowBatch(b *testing.B, k, words, thin int) {
 	m, s := paperScaleSampler(b)
-	const thin = 200
-	pairs := benchPairs64(m)
-	seeds := make([]graph.NodeID, len(pairs))
-	seedBits := make([]uint64, len(pairs))
-	for q := range pairs {
-		seeds[q] = pairs[q].Source
-		seedBits[q] = 1 << uint(q)
+	if thin <= 0 {
+		thin = DefaultOptions(m.NumEdges()).Thin
 	}
-	hits := make([]int, len(pairs))
-	reach := make([]uint64, m.NumNodes())
-	for k := 0; k < thin; k++ {
-		s.Step()
-	}
-	reach = m.FlowLanesInto(seeds, seedBits, s.xbits, s.scratch, reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < thin; k++ {
-			s.Step()
-		}
-		reach = m.FlowLanesInto(seeds, seedBits, s.xbits, s.scratch, reach)
-		for q, pair := range pairs {
-			if reach[pair.Sink]>>uint(q)&1 != 0 {
-				hits[q]++
-			}
-		}
-	}
-}
-
-// BenchmarkFlowProbBatch512 measures one steady-state batched output
-// sample for 512 pairs on the §IV-C graph: thin chain updates plus ONE
-// 8-word wide-lane engine sweep (with condensation reuse across the
-// tracked flips) answering all 512 pairs. Divide ns/op by 512 for the
-// per-query figure; compare against BenchmarkFlowProbBatch512Chunks64,
-// which serves the same 512 pairs as eight 64-lane sweeps per sample.
-// allocs/op must read 0.
-func BenchmarkFlowProbBatch512(b *testing.B) {
-	m, s := paperScaleSampler(b)
-	const thin = 200
-	pairs := randomPairs(rng.New(17), m.NumNodes(), 512)
-	nChunks := s.prepareLanes(len(pairs), 8, func(q int) graph.NodeID { return pairs[q].Source })
-	if nChunks != 1 {
-		b.Fatalf("512 pairs at W=8 span %d chunks, want 1", nChunks)
-	}
+	pairs := randomPairs(rng.New(17), m.NumNodes(), k)
+	nChunks := s.prepareLanes(len(pairs), words, func(q int) graph.NodeID { return pairs[q].Source })
+	lanesPer := words * LaneWidth
 	bs := &s.batch
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	sample := func() {
-		for k := 0; k < thin; k++ {
-			s.Step()
-		}
-		flips, complete := s.TakeFlips()
-		bs.engines[0].Sweep(bs.seeds[0], bs.seedBits[0], s.xbits, flips, complete, s.scratch, bs.reach[0])
-		for q := range pairs {
-			if bs.reach[0].TestBit(int(pairs[q].Sink), q) {
-				bs.hits[q]++
-			}
-		}
-	}
-	sample() // warm buffers and the engine cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sample()
-	}
-	e := bs.engines[0]
-	b.ReportMetric(float64(e.Replays())/float64(e.Replays()+e.Rebuilds()), "replay-rate")
-}
-
-// BenchmarkFlowProbBatch512Chunks64 is the pre-wide-lane baseline for
-// the same workload: 512 pairs served by EIGHT chunked 64-lane sweeps
-// per thinned sample (each paying its own Tarjan pass), sharing one
-// chain. This is exactly what the old LaneWidth-chunked FlowProbBatch
-// executed per sample.
-func BenchmarkFlowProbBatch512Chunks64(b *testing.B) {
-	m, s := paperScaleSampler(b)
-	const thin = 200
-	pairs := randomPairs(rng.New(17), m.NumNodes(), 512)
-	nChunks := len(pairs) / LaneWidth
-	seeds := make([][]graph.NodeID, nChunks)
-	seedBits := make([][]uint64, nChunks)
-	for c := 0; c < nChunks; c++ {
-		lo := c * LaneWidth
-		seeds[c] = make([]graph.NodeID, LaneWidth)
-		seedBits[c] = make([]uint64, LaneWidth)
-		for q := lo; q < lo+LaneWidth; q++ {
-			seeds[c][q-lo] = pairs[q].Source
-			seedBits[c][q-lo] = 1 << uint(q-lo)
-		}
-	}
-	hits := make([]int, len(pairs))
-	reach := make([]uint64, m.NumNodes())
-	sample := func() {
-		for k := 0; k < thin; k++ {
+		for i := 0; i < thin; i++ {
 			s.Step()
 		}
 		for c := 0; c < nChunks; c++ {
-			reach = m.FlowLanesInto(seeds[c], seedBits[c], s.xbits, s.scratch, reach)
-			lo := c * LaneWidth
-			for q := lo; q < lo+LaneWidth; q++ {
-				if reach[pairs[q].Sink]>>uint(q-lo)&1 != 0 {
-					hits[q]++
+			reach := s.sweep(c)
+			lo := c * lanesPer
+			for q := lo; q < lo+len(bs.seeds[c]); q++ {
+				if reach.TestBit(int(pairs[q].Sink), q-lo) {
+					bs.hits[q]++
 				}
 			}
 		}
 	}
-	sample()
+	sample() // warm the chain and every retained buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sample()
 	}
 }
+
+// BenchmarkFlowProbBatch64 measures 64 pairs answered by ONE one-word
+// sweep per thinned sample at thin = 200. Compare per-op time against
+// BenchmarkFlowProbSequential64 (the same work done by 64 independent
+// chains) for the batching speedup.
+func BenchmarkFlowProbBatch64(b *testing.B) { benchFlowBatch(b, 64, 1, 200) }
+
+// BenchmarkFlowProbBatch512 measures 512 pairs answered by ONE 8-word
+// sweep per thinned sample at thin = 200; compare against
+// BenchmarkFlowProbBatch512Chunks64, which serves the same 512 pairs as
+// eight one-word sweeps per sample.
+func BenchmarkFlowProbBatch512(b *testing.B) { benchFlowBatch(b, 512, 8, 200) }
+
+// BenchmarkFlowProbBatch512Default is BenchmarkFlowProbBatch512 at the
+// serving operating point, Thin = NumEdges: at this thinning the chain
+// steps, not the sweep, dominate the per-sample cost.
+func BenchmarkFlowProbBatch512Default(b *testing.B) { benchFlowBatch(b, 512, 8, 0) }
+
+// BenchmarkFlowProbBatch512Chunks64 is the narrow-lane baseline for the
+// same workload: 512 pairs served by EIGHT one-word sweeps per thinned
+// sample (each paying its own Tarjan pass), sharing one chain.
+func BenchmarkFlowProbBatch512Chunks64(b *testing.B) { benchFlowBatch(b, 512, 1, 200) }
 
 // BenchmarkFlowProbSequential64 is the sequential baseline the batch is
 // judged against: 64 per-pair chains, each paying its own thin updates

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -198,17 +197,19 @@ func TestBatcherDrain(t *testing.T) {
 	}
 }
 
-// TestBatcherLaneStatsMetrics: executing a batch folds the sampler's
-// lane-engine sweep dispositions into the server metrics, and the
-// derived replay/repair/rebuild rates partition the sweep count.
+// TestBatcherLaneStatsMetrics: every executed batch adds the sweeps it
+// ran — samples × lane chunks — to LaneRebuilds, which the expvar
+// snapshot publishes as lane_sweeps. A flow batch carries one chunk; an
+// impact batch whose flattened sources exceed mh.MaxLanes carries two.
 func TestBatcherLaneStatsMetrics(t *testing.T) {
-	m := serveICM(3, 20, 60)
 	clock := newFakeClock()
 	met := &Metrics{}
-	b := newBatcher(time.Hour, 1, 4, mh.LaneWidth, clock, met, newLRUCache(0))
+	b := newBatcher(time.Hour, 1, 4, mh.MaxLanes, clock, met, newLRUCache(0))
 	defer b.drain()
 
-	mem, err := b.join(context.Background(), testBatchKey(m, 50, 5), m, nil, mh.FlowPair{Source: 0, Sink: 9}, nil, "", "")
+	flowModel := serveICM(3, 20, 60)
+	const flowSamples = 50
+	mem, err := b.join(context.Background(), testBatchKey(flowModel, flowSamples, 5), flowModel, nil, mh.FlowPair{Source: 0, Sink: 9}, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,25 +218,46 @@ func TestBatcherLaneStatsMetrics(t *testing.T) {
 	if res := <-mem.done; res.Err != nil {
 		t.Fatal(res.Err)
 	}
+	if got := met.LaneRebuilds.Load(); got != flowSamples {
+		t.Fatalf("LaneRebuilds after a one-chunk flow batch = %d, want %d (one sweep per sample)", got, flowSamples)
+	}
 
-	replays, repairs, rebuilds := met.LaneReplays.Load(), met.LaneRepairs.Load(), met.LaneRebuilds.Load()
-	total := replays + repairs + rebuilds
-	if total == 0 {
-		t.Fatal("no lane sweeps recorded after a batch executed")
+	// Two impact sets of 1000 and 100 distinct sources: 1100 lanes, so
+	// the 1024-lane chunking splits them across two sweeps per sample.
+	impactModel := serveICM(4, 1200, 1500)
+	const impactSamples = 3
+	key := testBatchKey(impactModel, impactSamples, 6)
+	key.kind = kindImpact
+	setA, setB := make([]graph.NodeID, 1000), make([]graph.NodeID, 100)
+	for i := range setA {
+		setA[i] = graph.NodeID(i)
 	}
-	if rebuilds == 0 {
-		t.Error("LaneRebuilds = 0; the first sweep is always a full build")
+	for i := range setB {
+		setB[i] = graph.NodeID(1000 + i)
 	}
-	replayRate, repairRate, rebuildRate := met.LaneSweepRates()
-	if sum := replayRate + repairRate + rebuildRate; math.Abs(sum-1) > 1e-9 {
-		t.Errorf("sweep rates sum to %v, want 1", sum)
+	memA, err := b.join(context.Background(), key, impactModel, nil, mh.FlowPair{}, setA, sourcesKey(setA), "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := met.LaneOverflowRebuilds.Load(); got > rebuilds {
-		t.Errorf("LaneOverflowRebuilds = %d exceeds total rebuilds %d", got, rebuilds)
+	memB, err := b.join(context.Background(), key, impactModel, nil, mh.FlowPair{}, setB, sourcesKey(setB), "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap := met.Snapshot()
-	if snap["lane_replays"].(int64) != replays || snap["lane_rebuild_rate"].(float64) != rebuildRate {
-		t.Errorf("Snapshot lane counters disagree with accessors: %v", snap)
+	// 1100 lanes overflow the budget, so the second join flushed the
+	// batch without waiting for the window.
+	for _, mem := range []*member{memA, memB} {
+		if res := <-mem.done; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if got, want := met.LaneRebuilds.Load()-flowSamples, int64(2*impactSamples); got != want {
+		t.Errorf("LaneRebuilds delta for a two-chunk impact batch = %d, want %d", got, want)
+	}
+	if r, p := met.LaneReplays.Load(), met.LaneRepairs.Load(); r != 0 || p != 0 {
+		t.Errorf("LaneReplays/LaneRepairs = %d/%d, want 0/0", r, p)
+	}
+	if got := met.Snapshot()["lane_sweeps"].(int64); got != met.LaneRebuilds.Load() {
+		t.Errorf("Snapshot lane_sweeps = %d, want LaneRebuilds %d", got, met.LaneRebuilds.Load())
 	}
 }
 
